@@ -4,8 +4,11 @@ Public surface:
 
 * :class:`repro.core.index.SpineIndex` — online construction plus the
   basic query operations (containment, first/all occurrences).
-* :mod:`repro.core.search` — standalone search helpers, batched
-  occurrence scanning, valid-path tracing.
+* :mod:`repro.core.batch` — the query core: every layer's verbs
+  (``contains_at`` / ``find_first_at`` / ``find_all_at`` /
+  ``batch_find_all``), implemented once.
+* :mod:`repro.core.search` — the shared occurrence sweep and
+  valid-path tracing.
 * :mod:`repro.core.matching` — matching statistics and the paper's
   "all maximal matching substrings" operation (Section 4), with
   instrumented check counting for Table 6.
@@ -25,11 +28,10 @@ from repro.core.batch import (
     batch_find_all,
     contains_at,
     find_all_at,
+    find_first_at,
 )
 from repro.core.search import (
     OccurrenceScanner,
-    find_all,
-    find_first,
     is_valid_path,
     trace_path,
 )
@@ -58,9 +60,8 @@ __all__ = [
     "batch_find_all",
     "contains_at",
     "find_all_at",
+    "find_first_at",
     "OccurrenceScanner",
-    "find_all",
-    "find_first",
     "is_valid_path",
     "trace_path",
     "MatchingResult",

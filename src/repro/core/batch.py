@@ -1,46 +1,46 @@
-"""Batched multi-pattern querying (paper Section 4, batched form).
+"""The query core: every layer's verbs, implemented once (Section 4).
 
-``find_all`` pays one downstream backbone scan *per pattern*. The paper
-observes that the scan can be deferred: resolve the first occurrence of
-every pattern by traversal, then find all remaining occurrences of all
-patterns in "one single final sequential scan". The
-:class:`~repro.core.search.OccurrenceScanner` implements that shared
-scan; this module is the engine that drives it for a whole batch:
+SPINE answers a pattern the same way on every layer. The first
+occurrence is one PT/PRT-constrained root-to-node traversal
+(:func:`traverse_first_end`); every other occurrence is found by one
+downstream link sweep (:class:`~repro.core.search.OccurrenceScanner`).
+This module holds the only implementation of the query verbs:
 
-1. **traversal phase** — the N root-to-node first-occurrence
-   traversals (independent; optionally spread over a thread pool);
-2. **resolution phase** — one shared scan over the backbone link
-   entries, visiting each node once no matter how many patterns hit.
+* :func:`contains_at`, :func:`find_first_at` and :func:`find_all_at`
+  answer one pattern;
+* :func:`batch_find_all` answers many. It resolves the first
+  occurrence of every pattern by traversal, then finds all remaining
+  occurrences of all patterns in "one single final sequential scan".
+  On the disk layer N looped ``find_all`` calls make N passes over the
+  Link Table, while a batch makes exactly one sequential LT sweep — the
+  access pattern the paper's Figure 8 buffering argument favors.
 
-On the disk layer the difference is architectural, not cosmetic: N
-looped ``find_all`` calls make N passes over the Link Table, while a
-batch makes exactly one sequential LT sweep — the access pattern the
-paper's Figure 8 buffering argument favors.
+A layer supplies only primitives: ``alphabet``, ``len``, ``step``,
+``iter_link_entries``, ``read_locked`` (the shared side of the disk
+layer's read-write lock; a shared no-op on the in-memory layers) and a
+``METRIC_FAMILY`` class constant naming its metrics and spans. Its own
+``contains`` / ``find_first`` / ``find_all`` / ``count`` are one-line
+calls into this module with ``limit=len(index)``. Each verb takes the
+read lock once, at entry: the lock is not reentrant and prefers
+writers, so a nested acquire would deadlock behind a waiting writer.
+Metrics and tracing for the single-pattern verbs are applied here too,
+once, behind one check at entry.
 
-The engine is layer-agnostic: it needs ``step``, ``alphabet``,
-``iter_link_entries`` and ``len`` — provided by
-:class:`~repro.core.index.SpineIndex`,
-:class:`~repro.core.packed.PackedSpineIndex` and
-:class:`~repro.disk.spine_disk.DiskSpineIndex` alike. Indexes that
-expose a ``read_locked`` hook (the disk layer) have both phases run
-under the shared side of their read-write lock; indexes that expose
-``enable_concurrent_reads`` are switched to the latched buffer-pool
-mode before a multi-threaded traversal phase.
-
-Snapshot semantics (Section 2.7): every batch captures ``len(index)``
-on entry and bounds the traversals and the scan to that prefix. Because
-a SPINE prefix is an exact sub-index — every edge created after
-character ``k`` has a destination beyond ``k`` — rejecting steps that
-land past the snapshot boundary answers the query against the index
-*as of batch start*, even while an in-memory ``extend`` appends
-concurrently.
+Snapshot semantics (Section 2.7): every verb answers against the
+prefix of length ``limit``. Because a SPINE prefix is an exact
+sub-index — every edge created after character ``k`` has a
+destination beyond ``k`` — rejecting steps that land past the boundary
+answers the query against the index as of that length, even while an
+in-memory ``extend`` appends concurrently.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 
 from repro.core.search import OccurrenceScanner
 from repro.exceptions import (
@@ -53,12 +53,18 @@ from repro.obs.trace import get_tracer
 
 __all__ = [
     "BatchMatch",
+    "NO_LOCK",
     "batch_find_all",
     "check_executor_open",
     "contains_at",
     "find_all_at",
+    "find_first_at",
     "traverse_first_end",
 ]
+
+#: ``read_locked()`` of the layers whose readers need no lock (memory,
+#: packed): one shared, stateless no-op context.
+NO_LOCK = contextlib.nullcontext()
 
 
 class BatchMatch:
@@ -101,56 +107,167 @@ def traverse_first_end(index, codes, limit, cancel=None):
     """End node of the first occurrence of ``codes`` within the prefix
     of length ``limit``, or ``None``.
 
-    A step landing beyond ``limit`` is a dead end: by Section 2.7 that
-    edge does not exist in the prefix sub-index (edges planted after
-    character ``limit`` always point past it).
+    ``codes`` is any iterable of alphabet codes; the empty sequence
+    ends at the root (node 0). A step landing beyond ``limit`` is a
+    dead end: by Section 2.7 that edge does not exist in the prefix
+    sub-index (edges planted after character ``limit`` always point
+    past it).
 
     ``cancel`` is an optional
     :class:`~repro.resilience.CancellationToken`; when given, the
     traversal checkpoints it once per step (an amortized integer
-    decrement — see :mod:`repro.resilience.deadline`). The common
-    ``cancel is None`` path is the historical loop, untouched.
+    decrement — see :mod:`repro.resilience.deadline`). While tracing is
+    on, every edge decision lands on the tracer's active span.
     """
-    node = 0
+    tracer = get_tracer()
+    span = tracer.active if tracer.enabled else None
+    checkpoint = cancel.checkpoint if cancel is not None else None
     step = index.step
-    if cancel is not None:
-        checkpoint = cancel.checkpoint
-        for pathlength, code in enumerate(codes):
-            checkpoint()
-            node = step(node, pathlength, code)
-            if node is None or node > limit:
-                return None
-        return node
+    node = 0
     for pathlength, code in enumerate(codes):
-        node = step(node, pathlength, code)
+        if checkpoint is not None:
+            checkpoint()
+        node = step(node, pathlength, code, span)
         if node is None or node > limit:
             return None
     return node
 
 
+class _Probe:
+    """Metrics and trace span of one single-pattern query.
+
+    Created only while metrics or tracing is on. Names come from the
+    layer's ``METRIC_FAMILY``: ``<family>.queries`` / ``.misses`` /
+    ``.steps`` / ``.occurrences`` / ``.scan_nodes`` counters, the
+    ``<family>.scan_length`` histogram, the ``<family>.<verb>``
+    latency battery and a ``<family>.<verb>`` span.
+    """
+
+    __slots__ = ("family", "verb", "registry", "tracer", "span",
+                 "started", "steps", "end")
+
+    def __init__(self, index, verb, pattern, registry, tracer):
+        self.family = index.METRIC_FAMILY
+        self.verb = verb
+        # A disabled registry hands out no-op instruments and a disabled
+        # tracer begins no span, so neither needs a check of its own.
+        self.registry = registry
+        self.tracer = tracer
+        self.span = tracer.begin(f"{self.family}.{verb}", pattern=pattern)
+        self.steps = 0
+        self.end = None
+        self.started = time.perf_counter()
+
+    def traverse(self, index, codes, limit, cancel):
+        """:func:`traverse_first_end`, counting the steps it takes."""
+        # zip advances the counter once per code the loop consumes.
+        taken = itertools.count()
+        self.end = traverse_first_end(
+            index, map(itemgetter(0), zip(codes, taken)), limit, cancel)
+        self.steps = next(taken)
+        return self.end
+
+    def finish(self, starts, scan_nodes):
+        family = self.family
+        registry = self.registry
+        hit = self.end is not None
+        registry.counter(family + ".queries").inc()
+        registry.counter(family + ".steps").inc(self.steps)
+        if not hit:
+            registry.counter(family + ".misses").inc()
+        if starts is not None:
+            registry.counter(family + ".occurrences").inc(len(starts))
+        if starts and scan_nodes:
+            registry.counter(family + ".scan_nodes").inc(scan_nodes)
+            registry.histogram(family + ".scan_length").observe(scan_nodes)
+        registry.observe_latency(f"{family}.{self.verb}",
+                                 time.perf_counter() - self.started)
+        if self.span is not None:
+            attrs = {"end_node": self.end}
+            if starts is not None:
+                attrs.update(occurrences=len(starts),
+                             scan_nodes=scan_nodes)
+            self.tracer.finish(self.span, status="hit" if hit else "miss",
+                               **attrs)
+
+    def fail(self, exc):
+        if self.span is not None:
+            self.tracer.finish(self.span, status=_failure_status(exc),
+                               error=type(exc).__name__)
+
+
+def _failure_status(exc):
+    if isinstance(exc, (DeadlineExceededError, ServiceClosedError)):
+        return "cancelled"
+    return "error"
+
+
+def _answer(index, verb, pattern, limit, cancel):
+    """The single-pattern engine behind every verb.
+
+    Encodes ``pattern``; then, under one read-lock acquisition,
+    traverses to the first occurrence's end node and — for
+    ``find_all`` — sweeps downstream for the rest (Section 4: node
+    ``j`` ends another occurrence exactly when its link destination
+    already ends one and its LEL covers the pattern). Returns
+    ``(codes, end, starts)``; ``starts`` is ``None`` unless ``verb`` is
+    ``"find_all"``.
+    """
+    registry = get_registry()
+    tracer = get_tracer()
+    probe = (_Probe(index, verb, pattern, registry, tracer)
+             if registry.enabled or tracer.enabled else None)
+    codes = index.alphabet.try_encode(pattern)
+    end = None
+    starts = [] if verb == "find_all" else None
+    scan_nodes = 0
+    if codes is not None:
+        try:
+            with index.read_locked():
+                end = (traverse_first_end(index, codes, limit, cancel)
+                       if probe is None
+                       else probe.traverse(index, codes, limit, cancel))
+                if end is not None and verb == "find_all":
+                    scanner = OccurrenceScanner(index)
+                    pid = scanner.add(end, len(codes))
+                    starts = scanner.resolve_starts(
+                        limit=limit, cancel=cancel)[pid]
+                    scan_nodes = scanner.last_scan_nodes
+        except BaseException as exc:
+            if probe is not None:
+                probe.fail(exc)
+            raise
+    if probe is not None:
+        probe.finish(starts, scan_nodes)
+    return codes, end, starts
+
+
 def contains_at(index, pattern, limit, cancel=None):
-    """``contains`` evaluated against the length-``limit`` prefix."""
+    """``contains`` evaluated against the length-``limit`` prefix.
+
+    The empty pattern occurs everywhere; a pattern with a character
+    outside the alphabet is a clean miss, never a raise.
+    """
     if pattern == "":
         return True
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return False
-    return traverse_first_end(index, codes, limit, cancel) is not None
+    return _answer(index, "contains", pattern, limit, cancel)[1] \
+        is not None
+
+
+def find_first_at(index, pattern, limit, cancel=None):
+    """0-indexed start of the first occurrence within the prefix, or
+    ``None``. The empty pattern occurs at 0 (Section 4.1: the traversal
+    endpoint *is* the first occurrence's end node)."""
+    codes, end, _ = _answer(index, "find_first", pattern, limit, cancel)
+    return None if end is None else end - len(codes)
 
 
 def find_all_at(index, pattern, limit, cancel=None):
-    """``find_all`` evaluated against the length-``limit`` prefix."""
+    """Sorted 0-indexed starts of all occurrences within the prefix
+    (``[]`` on a miss; the empty pattern is rejected)."""
     if pattern == "":
         raise SearchError("find_all of the empty pattern is ill-defined")
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return []
-    first_end = traverse_first_end(index, codes, limit, cancel)
-    if first_end is None:
-        return []
-    scanner = OccurrenceScanner(index)
-    pid = scanner.add(first_end, len(codes))
-    return scanner.resolve_starts(limit=limit, cancel=cancel)[pid]
+    return _answer(index, "find_all", pattern, limit, cancel)[2]
 
 
 def check_executor_open(executor):
@@ -168,10 +285,6 @@ def check_executor_open(executor):
         raise ServiceClosedError(
             "executor is shut down; batch_find_all needs a live "
             "executor (or pass none to use a temporary pool)")
-
-
-def _null_context():
-    return contextlib.nullcontext()
 
 
 def batch_find_all(index, patterns, threads=1, limit=None,
@@ -227,8 +340,7 @@ def batch_find_all(index, patterns, threads=1, limit=None,
     registry = get_registry()
     metrics = registry if registry.enabled else None
     tracer = get_tracer()
-    span = (tracer.begin("batch.find_all", patterns=len(patterns))
-            if tracer.enabled else None)
+    span = tracer.begin("batch.find_all", patterns=len(patterns))
     if metrics is not None:
         started = time.perf_counter()
 
@@ -265,18 +377,14 @@ def batch_find_all(index, patterns, threads=1, limit=None,
         enable = getattr(index, "enable_concurrent_reads", None)
         if enable is not None:
             enable()
-    if cancel is None:
-        def _traverse(codes):
-            return traverse_first_end(index, codes, n)
-    else:
+    def _traverse(codes):
         # One child token per traversal: the amortization counter is
         # not thread-safe, so workers must not share one.
-        def _traverse(codes):
-            return traverse_first_end(index, codes, n, cancel.child())
+        return traverse_first_end(
+            index, codes, n, None if cancel is None else cancel.child())
 
-    lock = getattr(index, "read_locked", _null_context)
     try:
-        with lock():
+        with index.read_locked():
             # Phase 1: first-occurrence traversals.
             if multithreaded:
                 if executor is not None:
@@ -296,10 +404,8 @@ def batch_find_all(index, patterns, threads=1, limit=None,
             starts_by_pid = scanner.resolve_starts(limit=n, cancel=cancel)
     except BaseException as exc:
         if span is not None:
-            cancelled = isinstance(exc, (DeadlineExceededError,
-                                         ServiceClosedError))
-            tracer.finish(span, status="cancelled" if cancelled
-                          else "error", error=type(exc).__name__)
+            tracer.finish(span, status=_failure_status(exc),
+                          error=type(exc).__name__)
         raise
 
     results = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.matching import MatchingResult, _extend_longest
+from repro.core.search import OccurrenceScanner
 from repro.exceptions import SearchError
 from repro.obs.trace import get_tracer
 
@@ -52,11 +53,8 @@ class SearchCursor:
         if not self._alive:
             return False
         code = self.index.alphabet.encode_char(ch)
-        span = self._tracer.active
-        if span is not None:
-            nxt = self.index.step(self._node, self._length, code, span)
-        else:
-            nxt = self.index.step(self._node, self._length, code)
+        nxt = self.index.step(self._node, self._length, code,
+                              self._tracer.active)
         if nxt is None:
             self._alive = False
             return False
@@ -83,10 +81,10 @@ class SearchCursor:
         """All occurrences of the live prefix (empty when length 0)."""
         if self._length == 0:
             return []
-        from repro.core.search import _scan_occurrences
-
-        ends = _scan_occurrences(self.index, self._node, self._length)
-        return [end - self._length for end in ends]
+        with self.index.read_locked():
+            scanner = OccurrenceScanner(self.index)
+            pid = scanner.add(self._node, self._length)
+            return scanner.resolve_starts()[pid]
 
     def reset(self):
         """Back to the root, alive, nothing consumed."""

@@ -50,9 +50,9 @@ import time
 from array import array
 
 from repro.alphabet import alphabet_for, dna_alphabet
+from repro.core import batch as _batch
 from repro.exceptions import ConstructionError, SearchError
 from repro.obs import get_registry
-from repro.obs.trace import get_tracer
 
 
 class SpineIndex:
@@ -453,53 +453,32 @@ class SpineIndex:
         return None
 
     # ------------------------------------------------------------------
-    # queries (thin wrappers over repro.core.search)
+    # queries (one-line calls into the query core, repro.core.batch)
     # ------------------------------------------------------------------
+
+    #: Metric and span family of this layer's queries (``search.*``).
+    METRIC_FAMILY = "search"
+
+    def read_locked(self):
+        """No-op: in-memory readers take no lock (a snapshot-bounded
+        read is consistent under concurrent appends, Section 2.7)."""
+        return _batch.NO_LOCK
 
     def contains(self, pattern):
         """True iff ``pattern`` is a substring of the indexed string."""
-        from repro.core.search import find_first_end
-
-        if pattern == "":
-            return True
-        registry = get_registry()
-        tracer = get_tracer()
-        span = (tracer.begin("search.contains", pattern=pattern)
-                if tracer.enabled else None)
-        if registry.enabled:
-            started = time.perf_counter()
-            codes = self.alphabet.try_encode(pattern)
-            # A foreign character cannot occur: clean miss, no raise.
-            found = codes is not None and find_first_end(
-                self, codes, registry, span) is not None
-            registry.counter("search.queries").inc()
-            if not found:
-                registry.counter("search.misses").inc()
-            registry.timer("search.contains.seconds").observe(
-                time.perf_counter() - started)
-        else:
-            codes = self.alphabet.try_encode(pattern)
-            found = codes is not None and find_first_end(
-                self, codes, _span=span) is not None
-        if span is not None:
-            tracer.finish(span, status="hit" if found else "miss")
-        return found
+        return _batch.contains_at(self, pattern, self._n)
 
     def find_first(self, pattern):
         """0-indexed start of the first occurrence, or ``None``."""
-        from repro.core.search import find_first
-
-        return find_first(self, pattern)
+        return _batch.find_first_at(self, pattern, self._n)
 
     def find_all(self, pattern):
         """Sorted 0-indexed starts of every occurrence."""
-        from repro.core.search import find_all
-
-        return find_all(self, pattern)
+        return _batch.find_all_at(self, pattern, self._n)
 
     def count(self, pattern):
         """Number of (possibly overlapping) occurrences."""
-        return len(self.find_all(pattern))
+        return len(_batch.find_all_at(self, pattern, self._n))
 
     # ------------------------------------------------------------------
     # prefix partitioning (Section 2.7)

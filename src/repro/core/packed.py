@@ -21,7 +21,8 @@ index into the paper's optimized layout:
   (Section 5.1's robustness mechanism).
 
 The packed form is immutable and answers the same queries as the
-reference index (``step``, ``find_first``, ``find_all``); equivalence is
+reference index, through the same query core (:mod:`repro.core.batch`)
+over its ``step`` and ``iter_link_entries`` primitives; equivalence is
 asserted property-style in the tests. It is also the unit the
 disk-resident implementation pages over (:mod:`repro.disk`).
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import batch as _batch
 from repro.exceptions import ConstructionError, SearchError
 
 #: Sentinel stored in a two-byte label field when the true value lives
@@ -318,96 +320,32 @@ class PackedSpineIndex:
                         pathlength=pathlength)
         return None
 
+    # ------------------------------------------------------------------
+    # queries (one-line calls into the query core, repro.core.batch)
+    # ------------------------------------------------------------------
+
+    #: Metric and span family of this layer's queries.
+    METRIC_FAMILY = "packed.search"
+
+    def read_locked(self):
+        """No-op: the packed layout is immutable."""
+        return _batch.NO_LOCK
+
     def contains(self, pattern):
         """True iff ``pattern`` occurs in the indexed string."""
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        span = (tracer.begin("packed.search.contains", pattern=pattern)
-                if tracer.enabled else None)
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            # A foreign character cannot occur: clean miss, no raise.
-            if span is not None:
-                tracer.finish(span, status="miss", alphabet_miss=True)
-            return False
-        node = 0
-        for pathlength, code in enumerate(codes):
-            node = self.step(node, pathlength, code, span)
-            if node is None:
-                if span is not None:
-                    tracer.finish(span, status="miss")
-                return False
-        if span is not None:
-            tracer.finish(span, status="hit")
-        return True
+        return _batch.contains_at(self, pattern, self._n)
 
     def find_first(self, pattern):
         """0-indexed start of the first occurrence, or ``None``."""
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            return None
-        node = 0
-        for pathlength, code in enumerate(codes):
-            node = self.step(node, pathlength, code)
-            if node is None:
-                return None
-        return node - len(codes)
+        return _batch.find_first_at(self, pattern, self._n)
 
     def find_all(self, pattern):
-        """Sorted 0-indexed starts of all occurrences.
-
-        The downstream link scan is vectorized: candidate nodes are
-        those whose stored LEL covers the pattern length (the overflow
-        sentinel trivially qualifies), then the target-set recurrence
-        runs only over the candidates.
-        """
-        if pattern == "":
-            raise SearchError("find_all of the empty pattern is "
-                              "ill-defined")
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            return []
-        node = 0
-        for pathlength, code in enumerate(codes):
-            node = self.step(node, pathlength, code)
-            if node is None:
-                return []
-        m = len(codes)
-        first_end = node
-        threshold = min(m, OVERFLOW_SENTINEL)
-        candidates = np.nonzero(self._lt_lel >= threshold)[0]
-        candidates = candidates[candidates > first_end]
-        targets = {first_end}
-        starts = [first_end - m]
-        lt_ref = self._lt_ref
-        for j in candidates:
-            j = int(j)
-            ref = int(lt_ref[j])
-            if ref >= 0:
-                dest = ref
-            else:
-                fanout, row = self._decode_ptr(ref)
-                dest = int(self._tables[fanout].ld[row])
-            if dest in targets:
-                targets.add(j)
-                starts.append(j - m)
-        return starts
+        """Sorted 0-indexed starts of all occurrences."""
+        return _batch.find_all_at(self, pattern, self._n)
 
     def count(self, pattern):
-        """Number of (overlapping) occurrences of ``pattern``.
-
-        Shares :meth:`find_all`'s semantics exactly — including the
-        :class:`~repro.exceptions.SearchError` on the empty pattern and
-        the clean 0 for unencodable patterns.
-        """
-        return len(self.find_all(pattern))
-
-    def link_scan_candidates(self, min_lel):
-        """Node ids whose stored LEL is at least ``min_lel``
-        (vectorized; overflow entries qualify for any threshold)."""
-        threshold = min(min_lel, OVERFLOW_SENTINEL)
-        return np.nonzero(self._lt_lel >= threshold)[0]
+        """Number of (overlapping) occurrences of ``pattern``."""
+        return len(_batch.find_all_at(self, pattern, self._n))
 
     def matching_statistics(self, query):
         """Matching statistics against the packed layout.

@@ -1,169 +1,18 @@
-"""Searching a SPINE index (paper Section 4).
+"""The occurrence sweep and path helpers of SPINE search (Section 4).
 
-Finding the *first* occurrence of a pattern is a single root-to-node
-traversal obeying the PT/PRT edge constraints. Finding *all* occurrences
-exploits the link property — a link ``(d, v)`` at node ``j`` certifies
-that the ``v`` characters before ``j`` equal the ``v`` characters before
-``d`` — with one downstream scan of the backbone collecting every node
-whose link lands in the growing target set with sufficient LEL.
-
-The paper defers the downstream scan and resolves *all* patterns found
-during a matching run in one shared sequential pass;
-:class:`OccurrenceScanner` implements that batched form.
+Finding *all* occurrences exploits the link property — a link
+``(d, v)`` at node ``j`` certifies that the ``v`` characters before
+``j`` equal the ``v`` characters before ``d`` — with one downstream scan
+of the backbone collecting every node whose link lands in the growing
+target set with sufficient LEL. The paper defers that scan and resolves
+*all* patterns found during a matching run in one shared sequential
+pass; :class:`OccurrenceScanner` implements it, for one pattern or
+many. The query verbs that drive it live in :mod:`repro.core.batch`.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.exceptions import SearchError
-from repro.obs import get_registry
-from repro.obs.trace import get_tracer
-
-
-def find_first_end(index, codes, _metrics=None, _span=None):
-    """End node of the first occurrence of ``codes``, or ``None``.
-
-    ``codes`` is a sequence of alphabet codes; the empty sequence ends
-    at the root (node 0). ``_metrics`` is an enabled registry used by
-    the instrumented query wrappers below; step accounting is one bulk
-    counter update per call, never per character. ``_span`` is an
-    active trace span; when given, every edge decision of the
-    traversal lands on it (:mod:`repro.obs.trace`).
-    """
-    node = 0
-    step = index.step
-    if _span is not None:
-        for pathlength, code in enumerate(codes):
-            node = step(node, pathlength, code, _span)
-            if node is None:
-                if _metrics is not None:
-                    _metrics.counter("search.steps").inc(pathlength + 1)
-                return None
-        if _metrics is not None:
-            _metrics.counter("search.steps").inc(len(codes))
-        return node
-    for pathlength, code in enumerate(codes):
-        node = step(node, pathlength, code)
-        if node is None:
-            if _metrics is not None:
-                _metrics.counter("search.steps").inc(pathlength + 1)
-            return None
-    if _metrics is not None:
-        _metrics.counter("search.steps").inc(len(codes))
-    return node
-
-
-def find_first(index, pattern):
-    """0-indexed start of the first occurrence of ``pattern``.
-
-    Returns ``None`` when the pattern does not occur. The empty pattern
-    trivially occurs at position 0.
-    """
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin("search.find_first", pattern=pattern)
-            if tracer.enabled else None)
-    if metrics is not None:
-        started = time.perf_counter()
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        # A character outside the alphabet cannot occur: clean miss.
-        if metrics is not None:
-            metrics.counter("search.queries").inc()
-            metrics.counter("search.misses").inc()
-            metrics.observe_latency("search.find_first",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="miss", alphabet_miss=True)
-        return None
-    end = find_first_end(index, codes, metrics, span)
-    if metrics is not None:
-        metrics.counter("search.queries").inc()
-        if end is None:
-            metrics.counter("search.misses").inc()
-        metrics.observe_latency("search.find_first",
-                                time.perf_counter() - started)
-    if span is not None:
-        tracer.finish(span, status="miss" if end is None else "hit",
-                      end_node=end)
-    if end is None:
-        return None
-    return end - len(codes)
-
-
-def find_all(index, pattern):
-    """Sorted 0-indexed starts of all occurrences of ``pattern``.
-
-    First occurrence by traversal, remaining occurrences by the
-    link-scan of Section 4: walk downstream from the first match's end
-    node; node ``j`` ends another occurrence exactly when its link
-    destination is already in the target set and its LEL is at least the
-    pattern length.
-    """
-    if pattern == "":
-        raise SearchError("find_all of the empty pattern is ill-defined")
-    registry = get_registry()
-    metrics = registry if registry.enabled else None
-    tracer = get_tracer()
-    span = (tracer.begin("search.find_all", pattern=pattern)
-            if tracer.enabled else None)
-    if metrics is not None:
-        started = time.perf_counter()
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        # A character outside the alphabet cannot occur: clean miss.
-        if metrics is not None:
-            metrics.counter("search.queries").inc()
-            metrics.counter("search.misses").inc()
-            metrics.observe_latency("search.find_all",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="miss", alphabet_miss=True)
-        return []
-    first_end = find_first_end(index, codes, metrics, span)
-    if first_end is None:
-        if metrics is not None:
-            metrics.counter("search.queries").inc()
-            metrics.counter("search.misses").inc()
-            metrics.observe_latency("search.find_all",
-                                    time.perf_counter() - started)
-        if span is not None:
-            tracer.finish(span, status="miss")
-        return []
-    m = len(codes)
-    ends = _scan_occurrences(index, first_end, m)
-    if metrics is not None:
-        metrics.counter("search.queries").inc()
-        metrics.counter("search.occurrences").inc(len(ends))
-        # The downstream scan walks the backbone from the first match's
-        # end to the tail (Section 4's link-scan).
-        metrics.counter("search.scan_nodes").inc(index._n - first_end)
-        metrics.histogram("search.scan_length").observe(
-            index._n - first_end)
-        metrics.observe_latency("search.find_all",
-                                time.perf_counter() - started)
-    if span is not None:
-        tracer.finish(span, status="hit", end_node=first_end,
-                      occurrences=len(ends),
-                      scan_nodes=index._n - first_end)
-    return [end - m for end in ends]
-
-
-def _scan_occurrences(index, first_end, m):
-    """All end nodes of a pattern of length ``m`` first ending at
-    ``first_end``, in ascending order."""
-    link_dest = index._link_dest
-    link_lel = index._link_lel
-    n = index._n
-    targets = {first_end}
-    ends = [first_end]
-    for j in range(first_end + 1, n + 1):
-        if link_lel[j] >= m and link_dest[j] in targets:
-            targets.add(j)
-            ends.append(j)
-    return ends
 
 
 class OccurrenceScanner:
@@ -195,7 +44,7 @@ class OccurrenceScanner:
         """Register a found pattern; returns its id for :meth:`resolve`."""
         if length <= 0:
             raise SearchError("pattern length must be positive")
-        if not 1 <= first_end <= self.index._n:
+        if not 1 <= first_end <= len(self.index):
             raise SearchError(f"end node {first_end} out of range")
         if length > first_end:
             # A pattern of length m ending at node e starts at e - m;
@@ -228,7 +77,7 @@ class OccurrenceScanner:
         original per-entry cost.
         """
         index = self.index
-        n = index._n if limit is None else min(limit, index._n)
+        n = len(index) if limit is None else min(limit, len(index))
         results = {pid: [first_end]
                    for pid, (first_end, _) in self._patterns.items()}
         self.last_scan_nodes = 0
@@ -310,9 +159,4 @@ def is_valid_path(index, pattern):
     pattern is a substring of the data string — the property the PT/PRT
     labels exist to guarantee (no false positives, Section 2.1).
     """
-    if pattern == "":
-        return True
-    codes = index.alphabet.try_encode(pattern)
-    if codes is None:
-        return False
-    return find_first_end(index, codes) is not None
+    return index.contains(pattern)

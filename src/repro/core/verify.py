@@ -23,7 +23,7 @@ for small strings in tests.
 
 from __future__ import annotations
 
-from repro.core.search import find_first_end
+from repro.core.batch import traverse_first_end
 from repro.exceptions import VerificationError
 
 
@@ -341,7 +341,7 @@ def _verify_paths_deep(index, layer):
     substrings = {text[i:j] for i in range(n) for j in range(i + 1, n + 1)}
     alphabet = index.alphabet
     for sub in substrings:
-        if find_first_end(index, alphabet.encode(sub)) is None:
+        if traverse_first_end(index, alphabet.encode(sub), n) is None:
             _fail(f"false negative: substring {sub!r} has no valid "
                   "path", layer=layer, invariant="deep-false-negative")
     # False-positive frontier: every substring (and the empty string)
@@ -357,7 +357,8 @@ def _verify_paths_deep(index, layer):
                 continue
             if word in text:
                 continue
-            if find_first_end(index, alphabet.encode(word)) is not None:
+            if traverse_first_end(index, alphabet.encode(word),
+                                  n) is not None:
                 _fail(f"false positive: {word!r} has a valid path but "
                       "is not a substring", layer=layer,
                       invariant="deep-false-positive")

@@ -41,7 +41,9 @@ import time
 import zlib
 
 from repro.alphabet import Alphabet, dna_alphabet
+from repro.core import batch as _batch
 from repro.core.matching import MatchingResult, MaximalMatch
+from repro.core.search import OccurrenceScanner
 from repro.exceptions import ConstructionError, SearchError, StorageError
 from repro.obs import get_registry, record_io_snapshot
 from repro.obs.trace import get_tracer
@@ -1111,8 +1113,9 @@ class DiskSpineIndex:
 
     def read_locked(self):
         """Context manager entering the query (shared) side of the
-        pool's read-write lock — what the batch engine wraps its
-        traversal + scan phases in."""
+        pool's read-write lock — what every verb of the query core
+        (:mod:`repro.core.batch`) enters once, around its traversal
+        and scan."""
         return self.pool.rwlock.read_locked()
 
     def link(self, i):
@@ -1183,123 +1186,28 @@ class DiskSpineIndex:
                         pathlength=pathlength, exhausted="extribs")
         return None
 
+    # One-line calls into the query core (repro.core.batch): each verb
+    # takes the read lock once, at entry.
+
+    #: Metric and span family of this layer's queries.
+    METRIC_FAMILY = "disk.search"
+
     def contains(self, pattern):
         """True iff ``pattern`` occurs in the indexed string."""
-        registry = get_registry()
-        tracer = get_tracer()
-        span = (tracer.begin("disk.search.contains", pattern=pattern,
-                             policy=self.policy_name)
-                if tracer.enabled else None)
-        if registry.enabled:
-            started = time.perf_counter()
-            found = self._contains(pattern, span)
-            registry.counter("disk.search.queries").inc()
-            if not found:
-                registry.counter("disk.search.misses").inc()
-            registry.observe_latency("disk.search.contains",
-                time.perf_counter() - started)
-        else:
-            found = self._contains(pattern, span)
-        if span is not None:
-            tracer.finish(span, status="hit" if found else "miss")
-        return found
+        return _batch.contains_at(self, pattern, self._n)
 
-    def _contains(self, pattern, _span=None):
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            # A foreign character cannot occur: clean miss, no raise.
-            return False
-        with self.pool.rwlock.read_locked():
-            node = 0
-            for pathlength, code in enumerate(codes):
-                node = self.step(node, pathlength, code, _span)
-                if node is None:
-                    return False
-        return True
+    def find_first(self, pattern):
+        """Start of the first occurrence, or ``None``."""
+        return _batch.find_first_at(self, pattern, self._n)
 
     def find_all(self, pattern):
         """Sorted 0-indexed starts of all occurrences (first occurrence
         by traversal, repetitions by the sequential LT scan)."""
-        if pattern == "":
-            raise SearchError("find_all of the empty pattern is "
-                              "ill-defined")
-        registry = get_registry()
-        tracer = get_tracer()
-        span = (tracer.begin("disk.search.find_all", pattern=pattern,
-                             policy=self.policy_name)
-                if tracer.enabled else None)
-        if registry.enabled:
-            started = time.perf_counter()
-            starts = self._find_all(pattern, span)
-            registry.counter("disk.search.queries").inc()
-            registry.counter("disk.search.occurrences").inc(len(starts))
-            if starts:
-                # The per-pattern LT sweep runs from the first match's
-                # end node to the tail (what batching amortizes away).
-                registry.counter("disk.search.scan_nodes").inc(
-                    self._n - (starts[0] + len(pattern)))
-            else:
-                registry.counter("disk.search.misses").inc()
-            registry.observe_latency("disk.search.find_all",
-                time.perf_counter() - started)
-        else:
-            starts = self._find_all(pattern, span)
-        if span is not None:
-            tracer.finish(span,
-                          status="hit" if starts else "miss",
-                          occurrences=len(starts))
-        return starts
-
-    def _find_all(self, pattern, _span=None):
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            # A foreign character cannot occur: clean miss, no raise.
-            return []
-        with self.pool.rwlock.read_locked():
-            node = 0
-            for pathlength, code in enumerate(codes):
-                node = self.step(node, pathlength, code, _span)
-                if node is None:
-                    return []
-            m = len(codes)
-            targets = {node}
-            starts = [node - m]
-            for j in range(node + 1, self._n + 1):
-                dest, lel, _ = self._lt_read(j)
-                if lel >= m and dest in targets:
-                    targets.add(j)
-                    starts.append(j - m)
-            return starts
-
-    def find_first(self, pattern):
-        """Start of the first occurrence, or ``None`` (paper Section 4.1:
-        the traversal endpoint *is* the first occurrence's end node).
-
-        Same cross-layer contract as the in-memory and packed layers:
-        the empty pattern occurs at 0, a pattern with out-of-alphabet
-        characters is a clean miss.
-        """
-        if pattern == "":
-            return 0
-        codes = self.alphabet.try_encode(pattern)
-        if codes is None:
-            return None
-        with self.pool.rwlock.read_locked():
-            node = 0
-            for pathlength, code in enumerate(codes):
-                node = self.step(node, pathlength, code)
-                if node is None:
-                    return None
-        return node - len(codes)
+        return _batch.find_all_at(self, pattern, self._n)
 
     def count(self, pattern):
-        """Number of (overlapping) occurrences of ``pattern``.
-
-        Shares :meth:`find_all`'s semantics exactly — including the
-        :class:`~repro.exceptions.SearchError` on the empty pattern and
-        the clean 0 for unencodable patterns.
-        """
-        return len(self.find_all(pattern))
+        """Number of (overlapping) occurrences of ``pattern``."""
+        return len(_batch.find_all_at(self, pattern, self._n))
 
     def matching_statistics(self, query):
         """Disk-resident matching statistics (same semantics and check
@@ -1406,31 +1314,12 @@ class DiskSpineIndex:
                 continue
             events.append((j, length, end_nodes[j]))
         # Shared downstream scan.
-        node_targets = {}
-        hits = {idx: [end] for idx, (_, _, end) in enumerate(events)}
-        min_start = self._n + 1
-        for idx, (_, length, end) in enumerate(events):
-            node_targets.setdefault(end, []).append((idx, length))
-            min_start = min(min_start, end)
-        for j in range(min_start + 1, self._n + 1):
-            dest, lel, _ = self._lt_read(j)
-            entries = node_targets.get(dest)
-            if not entries:
-                continue
-            matched = [(idx, length) for idx, length in entries
-                       if lel >= length]
-            if not matched:
-                continue
-            node_targets.setdefault(j, []).extend(matched)
-            for idx, _ in matched:
-                hits[idx].append(j)
-        matches = []
-        for idx, (j, length, _) in enumerate(events):
-            matches.append(MaximalMatch(
-                query_start=j - length + 1,
-                length=length,
-                data_starts=tuple(end - length for end in hits[idx]),
-            ))
+        scanner = OccurrenceScanner(self)
+        pids = [scanner.add(end, length) for _, length, end in events]
+        starts = scanner.resolve_starts()
+        matches = [MaximalMatch(query_start=j - length + 1, length=length,
+                                data_starts=tuple(starts[pid]))
+                   for pid, (j, length, _) in zip(pids, events)]
         return matches, result
 
     def io_snapshot(self):

@@ -28,7 +28,6 @@ as Prometheus text exposition for live scraping.
 from __future__ import annotations
 
 import time
-import warnings
 from bisect import bisect_left
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, StreamingQuantiles
@@ -69,23 +68,6 @@ class Counter:
     def inc(self, amount=1):
         """Add ``amount`` (default 1)."""
         self.value += amount
-
-    def set(self, value):
-        """Overwrite with an absolute value.
-
-        .. deprecated:: use a :class:`Gauge` instead. Setting a
-           counter makes it non-monotonic, which corrupts
-           rate-over-time math in downstream systems (Prometheus
-           ``rate()`` interprets any decrease as a counter reset).
-           Kept working for older callers; the library's own mirrored
-           snapshot sites now use gauges.
-        """
-        warnings.warn(
-            "Counter.set() is deprecated: a set counter is no longer "
-            "monotonic (breaking rate() math); use "
-            "MetricsRegistry.gauge() for point-in-time values",
-            DeprecationWarning, stacklevel=2)
-        self.value = value
 
     def __repr__(self):
         return f"Counter({self.name!r}, value={self.value})"

@@ -22,10 +22,9 @@ def record_io_snapshot(registry, snapshot, prefix="disk"):
     The disk layer's physical/buffer counters are mirrored point-in-
     time readings, so they are ``set`` under ``<prefix>.<name>``;
     re-recording a later snapshot of the same index simply refreshes
-    the values. Historically these landed in counters via the
-    deprecated ``Counter.set`` — a set counter is no longer monotonic,
-    which corrupts rate-over-time math in scraping systems, so they
-    are proper gauges now (and live under the snapshot's ``gauges``
+    the values. They are gauges, not counters: a counter that could be
+    set would not be monotonic, which corrupts rate-over-time math in
+    scraping systems (they live under the snapshot's ``gauges``
     section).
     """
     if not registry.enabled:

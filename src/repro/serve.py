@@ -20,10 +20,12 @@ Two pieces:
     writes (``extend``) are serialized through a mutex. On the disk
     layer, where mutation rewrites Link-Table entries in place and
     migrates Rib-Table rows (so no lock-free snapshot exists), the
-    index's own read-write lock — taken inside the index methods and
-    :func:`repro.core.batch.batch_find_all` — provides the
-    writer-excludes-readers guarantee; the service deliberately takes
-    no read locks itself to avoid nesting a non-reentrant lock.
+    index's own read-write lock provides the writer-excludes-readers
+    guarantee. Every verb of the query core (:mod:`repro.core.batch`:
+    ``contains_at``, ``find_all_at``, ``batch_find_all``) takes it
+    once, at entry, so snapshot reads and sharded fan-outs are covered
+    too; the service deliberately takes no read locks itself to avoid
+    nesting a non-reentrant lock.
 
 Resilience (see ``docs/serving.md`` § Resilience). Every read-style
 call accepts a per-call ``deadline`` (seconds) overriding the service

@@ -713,7 +713,7 @@ class ShardedSpineIndex:
             bound = self._local_limit(shard, self._len)
             if bound < m:
                 continue
-            local = shard.index.find_first(pattern)
+            local = _batch.find_first_at(shard.index, pattern, bound)
             if local is not None and local < shard.owned_len:
                 return local + shard.start
         return None

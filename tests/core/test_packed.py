@@ -154,6 +154,8 @@ class TestPackedMatching:
 
     def test_candidate_helper(self, pair):
         index, packed = pair
-        candidates = packed.link_scan_candidates(5)
-        lels = [index.link(int(i))[1] for i in candidates if i > 0]
-        assert all(lel >= 5 for lel in lels)
+        candidates = list(packed.iter_link_entries(min_lel=5))
+        want = [j for j in range(1, len(index) + 1)
+                if index.link(j)[1] >= 5]
+        assert [j for j, _, _ in candidates] == want
+        assert candidates == [(j, *index.link(j)) for j in want]

@@ -1,7 +1,9 @@
 """Differential lock-in of the cross-layer pattern-edge-case contract.
 
 Every query entry point — in-memory, packed, disk, batch, serve, and
-sharded — must agree on the two degenerate pattern classes:
+sharded — must agree on the two degenerate pattern classes (and, for
+ordinary patterns, on the answers themselves, including Section-2.7
+prefix reads through ``SnapshotGuard``):
 
 ``""`` (empty pattern)
     ``contains`` is ``True`` (the empty string occurs everywhere),
@@ -25,18 +27,20 @@ from repro.core.packed import PackedSpineIndex
 from repro.disk.spine_disk import DiskSpineIndex
 from repro.exceptions import SearchError
 
-from tests.conftest import PAPER_STRING
+from repro.sequences import generate_dna
+
+from tests.conftest import PAPER_STRING, brute_occurrences
 
 FOREIGN = "axz!"
 
 
-def _layers(tmp_path):
-    memory = SpineIndex(PAPER_STRING)
+def _layers(tmp_path, text=PAPER_STRING):
+    memory = SpineIndex(text)
     packed = PackedSpineIndex.from_index(memory)
     disk = DiskSpineIndex(alphabet=memory.alphabet,
                           path=str(tmp_path / "sem.pages"))
-    disk.extend(PAPER_STRING)
-    sharded = ShardedSpineIndex.build(PAPER_STRING, shards=3,
+    disk.extend(text)
+    sharded = ShardedSpineIndex.build(text, shards=3,
                                       max_pattern_len=8)
     return {"memory": memory, "packed": packed, "disk": disk,
             "sharded": sharded}
@@ -117,3 +121,42 @@ def test_serve_path_agrees():
         assert match.status == "alphabet-miss"
         with pytest.raises(SearchError):
             svc.batch_find_all([""])
+
+
+def test_prefix_reads_agree_across_layers(tmp_path):
+    """Section 2.7 prefix reads on every layer, and direct == served.
+
+    ``SnapshotGuard(index, limit=k)`` must answer exactly as the index
+    of ``text[:k]`` would, for every layer and a sweep of ``k``; at
+    ``k = len(index)`` each layer's own verbs must equal the served
+    ones.
+    """
+    text = generate_dna(240, seed=5)
+    patterns = sorted({text[i:i + m] for m in (1, 2, 3, 5, 8)
+                       for i in range(0, 232, 29)})
+    patterns += ["ACGTACGT", "GATTACA", FOREIGN]
+    layers = _layers(tmp_path, text)
+    try:
+        for name, index in layers.items():
+            n = len(index)
+            for k in sorted(set(range(0, n + 1, 37)) | {1, 8, n}):
+                guard = SnapshotGuard(index, limit=k)
+                batch = guard.batch_find_all(patterns)
+                for pattern, match in zip(patterns, batch):
+                    want = brute_occurrences(text[:k], pattern)
+                    where = (name, k, pattern)
+                    assert guard.contains(pattern) == bool(want), where
+                    assert guard.find_all(pattern) == want, where
+                    assert match.starts == want, where
+            served = SnapshotGuard(index)
+            for pattern in patterns:
+                starts = served.find_all(pattern)
+                assert index.find_all(pattern) == starts, (name, pattern)
+                assert index.contains(pattern) == \
+                    served.contains(pattern), (name, pattern)
+                assert index.count(pattern) == len(starts), name
+                assert index.find_first(pattern) == \
+                    (starts[0] if starts else None), (name, pattern)
+    finally:
+        layers["disk"].close()
+        layers["sharded"].close()

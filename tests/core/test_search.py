@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core import (
-    OccurrenceScanner, SpineIndex, find_all, find_first, is_valid_path,
-    trace_path)
-from repro.core.search import find_first_end
+    OccurrenceScanner, SpineIndex, is_valid_path, trace_path)
+from repro.core.batch import traverse_first_end
 from repro.exceptions import SearchError
 from tests.conftest import brute_occurrences
 
@@ -19,37 +18,37 @@ class TestFindFirst:
     def test_finds_first_not_any(self, index):
         text = index.text
         for pattern in ("abra", "a", "cad", "abracadabra", "raab"):
-            assert find_first(index, pattern) == text.find(pattern)
+            assert index.find_first(pattern) == text.find(pattern)
 
     def test_absent_pattern(self, index):
-        assert find_first(index, "zzz" if "z" in index.alphabet
+        assert index.find_first("zzz" if "z" in index.alphabet
                           else "dd") is None
 
     def test_empty_pattern_at_zero(self, index):
-        assert find_first(index, "") == 0
+        assert index.find_first("") == 0
 
     def test_find_first_end_is_node_id(self, index):
         codes = index.alphabet.encode("abra")
-        assert find_first_end(index, codes) == 4
+        assert traverse_first_end(index, codes, len(index)) == 4
 
 
 class TestFindAll:
     @pytest.mark.parametrize("pattern", ["a", "ab", "abra", "bra",
                                          "abracadabra", "aa", "ra"])
     def test_matches_brute_force(self, index, pattern):
-        assert find_all(index, pattern) == brute_occurrences(
+        assert index.find_all(pattern) == brute_occurrences(
             index.text, pattern)
 
     def test_overlapping_occurrences(self):
         idx = SpineIndex("aaaa")
-        assert find_all(idx, "aa") == [0, 1, 2]
+        assert idx.find_all("aa") == [0, 1, 2]
 
     def test_empty_pattern_rejected(self, index):
         with pytest.raises(SearchError):
-            find_all(index, "")
+            index.find_all("")
 
     def test_absent_pattern_empty_list(self, index):
-        assert find_all(index, "dddd") == []
+        assert index.find_all("dddd") == []
 
 
 class TestOccurrenceScanner:
@@ -59,7 +58,8 @@ class TestOccurrenceScanner:
         scanner = OccurrenceScanner(index)
         pids = {}
         for p in patterns:
-            end = find_first_end(index, index.alphabet.encode(p))
+            end = traverse_first_end(index, index.alphabet.encode(p),
+                                     len(index))
             pids[p] = scanner.add(end, len(p))
         starts = scanner.resolve_starts()
         for p in patterns:
@@ -91,7 +91,8 @@ class TestOccurrenceScanner:
 
     def test_duplicate_patterns_allowed(self, index):
         scanner = OccurrenceScanner(index)
-        end = find_first_end(index, index.alphabet.encode("abra"))
+        end = traverse_first_end(index, index.alphabet.encode("abra"),
+                                 len(index))
         pid1 = scanner.add(end, 4)
         pid2 = scanner.add(end, 4)
         starts = scanner.resolve_starts()

@@ -18,7 +18,9 @@ import pytest
 from repro import obs
 from repro.core.index import SpineIndex
 from repro.core.matching import matching_statistics
-from repro.core.search import find_first_end
+from repro.core.batch import traverse_first_end
+from repro.core.packed import PackedSpineIndex
+from repro.disk.spine_disk import DiskSpineIndex
 from repro.obs import quantiles as quantiles_mod
 from repro.obs import registry as registry_mod
 from repro.obs import slowlog as slowlog_mod
@@ -72,6 +74,18 @@ def test_disabled_search_allocates_no_observability_objects(
         assert big_index.contains(pattern)
     big_index.find_all(patterns[0])
     matching_statistics(big_index, generate_dna(512, seed=12))
+    # Every layer's verbs share one instrumented boundary in the core.
+    text = generate_dna(2000, seed=13)
+    packed = PackedSpineIndex.from_index(SpineIndex(text))
+    disk = DiskSpineIndex(buffer_pages=8)
+    try:
+        disk.extend(text)
+        probes = (text[100:116], text[1500:1510], "ACGTACGTACGTACGT")
+        for pattern in probes:
+            assert packed.contains(pattern) == (pattern in text)
+            assert disk.contains(pattern) == (pattern in text)
+    finally:
+        disk.close()
 
 
 def test_disabled_batch_and_service_allocate_nothing(
@@ -109,13 +123,13 @@ def test_disabled_batch_and_service_allocate_nothing(
 
 def test_disabled_search_wall_clock_factor(big_index, patterns):
     """Public (instrumented-but-disabled) search stays within a loose
-    factor of the bare traversal core — the seed-era loop that
-    ``find_first_end`` still runs when no span is attached."""
+    factor of the bare traversal loop it wraps."""
     encode = big_index.alphabet.encode
+    limit = len(big_index)
 
     def bare():
         for pattern in patterns:
-            find_first_end(big_index, encode(pattern))
+            traverse_first_end(big_index, encode(pattern), limit)
 
     def public():
         for pattern in patterns:

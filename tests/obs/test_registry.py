@@ -8,21 +8,12 @@ from repro.obs.registry import (
 
 
 class TestCounter:
-    def test_inc_and_set(self):
+    def test_inc(self):
         c = Counter("x")
         assert c.value == 0
         c.inc()
         c.inc(4)
         assert c.value == 5
-        with pytest.deprecated_call():
-            c.set(2)
-        assert c.value == 2
-
-    def test_set_warns_but_keeps_working(self):
-        c = Counter("legacy")
-        with pytest.deprecated_call(match="gauge"):
-            c.set(41)
-        assert c.value == 41
 
 
 class TestGauge:

@@ -7,7 +7,6 @@ import pytest
 
 from repro import (QueryService, ServiceClosedError, SnapshotGuard,
                    SpineIndex)
-from repro.core import find_all
 
 from tests.conftest import brute_occurrences
 
@@ -191,4 +190,4 @@ class TestConcurrentExtend:
             for t in threads:
                 t.join(timeout=30)
         assert not errors
-        assert find_all(index, "ab") == brute_occurrences(text, "ab")
+        assert index.find_all("ab") == brute_occurrences(text, "ab")
